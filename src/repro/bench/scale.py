@@ -15,9 +15,9 @@ grows linearly with nodes while the gfence dissemination tree
 exercises ``N log N`` small-message traffic.  What keeps memory flat
 per node at these sizes (and what this bench exists to guard):
 
-* the bounded per-pair route cache (``route_cache_entries``), capping
-  what all-to-all-ish traffic can pin at O(bound) instead of
-  O(nodes^2);
+* route templates keyed by edge-switch pair
+  (:class:`~repro.machine.routing.RouteTemplate`), so routing state
+  is bounded by edge switches squared, never by node pairs;
 * streamed top-k link statistics (``Switch.busiest_links`` /
   ``metrics_top_links``) instead of full-fabric utilization dicts.
 
@@ -56,21 +56,14 @@ SCALE_PUT_BYTES = 4096
 #: spread, so shards stay RNG-independent however scheduled).
 SCALE_SEED = 0x5CA1E
 
-#: Route-cache bound as a multiple of the node count: a ring plus a
-#: dissemination barrier touches O(N log N) distinct pairs, so a small
-#: multiple keeps the hit rate high while capping memory.
-_CACHE_ENTRIES_PER_NODE = 8
-
 #: ``Switch.metrics_top_links`` during scale runs: a --metrics block
 #: at 4096 nodes must not carry ~20k per-link gauges.
 _METRICS_TOP_LINKS = 8
 
 
 def scale_config(topology: str, nnodes: int) -> MachineConfig:
-    """The paper calibration on ``topology`` with scale-safe bounds."""
-    return SP_1998.replace(
-        topology=topology,
-        route_cache_entries=_CACHE_ENTRIES_PER_NODE * nnodes)
+    """The paper calibration on ``topology`` (same at every size)."""
+    return SP_1998.replace(topology=topology)
 
 
 def _ring_task(task):
@@ -132,8 +125,8 @@ def scale_point(nnodes: int, topology: str, seed: int) -> dict:
         "packets_sent": sent,
         "packets_received": received,
         "rx_dropped": dropped,
-        "route_cache_len": len(sw._route_cache),
-        "route_cache_limit": cluster.config.route_cache_entries,
+        "route_templates": len(sw.templates),
+        "edge_switches": sw.topology.nedges,
         "wall_s": round(wall, 3),
         "events_per_sec": round(cluster.sim.events_processed / wall)
         if wall > 0 else 0,
@@ -178,14 +171,14 @@ def _scale(records: list, sizes: list) -> ExperimentResult:
     for r in records:
         rows.append([r["topology"], r["nodes"], r["virtual_us"],
                      r["events"], r["events_per_sec"],
-                     r["packets_routed"], r["route_cache_len"],
+                     r["packets_routed"], r["route_templates"],
                      r["wall_s"], r["rss_mb"]])
     result = ExperimentResult(
         experiment="scale",
         title=f"SUPPLEMENTAL: {min(sizes)}-{max(sizes)} node scale"
               " sweep (ring + gfence)",
         headers=["topology", "nodes", "virtual us", "events",
-                 "events/s", "routed", "route cache", "wall s",
+                 "events/s", "routed", "templates", "wall s",
                  "rss MB"],
         rows=rows)
     result.notes.append(
@@ -211,11 +204,11 @@ def _scale(records: list, sizes: list) -> ExperimentResult:
             <= r["nodes"]
             for r in records))
     result.check(
-        "route cache stays within its bound at every size",
-        all(r["route_cache_len"] <= r["route_cache_limit"]
+        "route templates stay within edge switches squared",
+        all(r["route_templates"] <= r["edge_switches"] ** 2
             for r in records),
         ", ".join(f"{r['topology']}/{r['nodes']}:"
-                  f" {r['route_cache_len']}/{r['route_cache_limit']}"
+                  f" {r['route_templates']}/{r['edge_switches']}^2"
                   for r in records[:3]))
     for topology, recs in by_topo.items():
         recs = sorted(recs, key=lambda r: r["nodes"])

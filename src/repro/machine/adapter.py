@@ -398,10 +398,10 @@ class Adapter:
         msg_key = hinfo.get("msg_id", hinfo.get("msg_seq"))
         if msg_key is None or "offset" not in hinfo or not head.payload:
             return None
-        candidates = self.switch.route_candidates(self.node_id, head.dst)
-        if len(candidates) != 1:
+        tmpl = self.switch.template(self.node_id, head.dst)
+        if len(tmpl.middles) != 1:
             return None
-        if candidates[0].crosses_core and cfg.route_jitter > 0.0:
+        if tmpl.crosses_core and cfg.route_jitter > 0.0:
             return None
         run = []
         prev = head
@@ -461,7 +461,6 @@ class Adapter:
         sim = self.sim
         head = interior[0][0]
         switch = self.switch
-        route = switch.route_candidates(self.node_id, head.dst)[0]
         dst_adapter = switch._adapters[head.dst]
         client = (dst_adapter.clients.get(head.proto)
                   if dst_adapter is not None else None)
@@ -477,7 +476,10 @@ class Adapter:
         else:
             from .train import PacketTrain
             train = PacketTrain()
-        train.begin(self, route, dst_adapter, client)
+        tmpl = switch.template(self.node_id, head.dst)
+        links = ((switch._up[self.node_id],) + tmpl.middles[0]
+                 + (switch._down[head.dst],))
+        train.begin(self, links, tmpl.fixed_latency, dst_adapter, client)
         dma = cfg.adapter_send_dma
         bw = cfg.link_bandwidth
         gap = cfg.packet_gap

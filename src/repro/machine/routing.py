@@ -27,24 +27,30 @@ shapes a larger SP successor might have used:
   links inside a group and one global link per ordered group pair,
   minimally routed.
 
-All topologies share one duck-typed surface -- ``routes(src, dst,
-config)``, ``iter_links()``, ``nnodes`` -- which is everything
-:class:`repro.machine.switch.Switch` touches; :func:`build_topology`
-dispatches on ``MachineConfig.topology``.
+Every fabric describes its route shapes once, per pair of *edge*
+switches (SP group, fat-tree leaf, dragonfly router): ``edge_of(node)``
+names a node's edge switch and ``template(edge_src, edge_dst, config)``
+returns a :class:`RouteTemplate` -- the candidates' middle links plus
+the latency and core flag they share.  A route is ``up[src]``, one
+candidate's middle links, ``down[dst]``; :meth:`_Fabric.routes` splices
+those into :class:`Route` objects, and
+:class:`repro.machine.switch.Switch` occupies them directly per packet.
+:func:`build_topology` dispatches on ``MachineConfig.topology``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ..errors import NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import MachineConfig
 
-__all__ = ["SerialResource", "Route", "Topology", "FatTreeTopology",
-           "DragonflyTopology", "build_topology", "TOPOLOGIES"]
+__all__ = ["SerialResource", "Route", "RouteTemplate", "Topology",
+           "FatTreeTopology", "DragonflyTopology", "build_topology",
+           "TOPOLOGIES"]
 
 
 class SerialResource:
@@ -107,8 +113,45 @@ class Route:
     crosses_core: bool
 
 
+class RouteTemplate(NamedTuple):
+    """The routes between two edge switches, minus the endpoint links.
+
+    Every node pair behind the same pair of edge switches shares one
+    template; a route is ``up[src] + middles[i] + down[dst]``.
+    """
+
+    #: Middle links of each candidate, in candidate order (``()`` for
+    #: the single route through one edge switch).
+    middles: tuple[tuple[SerialResource, ...], ...]
+    fixed_latency: float
+    crosses_core: bool
+
+
+class _Fabric:
+    """What every fabric derives from ``nnodes``, its ``up``/``down``
+    links, ``edge_of(node)`` and ``template(es, ed, config)``."""
+
+    @property
+    def nedges(self) -> int:
+        """Number of edge switches (edge ids are ``0..nedges-1``)."""
+        return self.edge_of(self.nnodes - 1) + 1
+
+    def routes(self, src: int, dst: int,
+               config: "MachineConfig") -> list[Route]:
+        """All candidate routes from ``src`` to ``dst``, in draw order."""
+        if src == dst:
+            raise NetworkError("no route from a node to itself")
+        # edge_of rejects nodes outside the topology.
+        tmpl = self.template(self.edge_of(src), self.edge_of(dst), config)
+        up, down = self.up[src], self.down[dst]
+        return [Route(links=(up,) + middle + (down,),
+                      fixed_latency=tmpl.fixed_latency,
+                      crosses_core=tmpl.crosses_core)
+                for middle in tmpl.middles]
+
+
 @dataclass
-class Topology:
+class Topology(_Fabric):
     """Edge/middle switch topology for ``nnodes`` nodes.
 
     Attributes
@@ -170,44 +213,27 @@ class Topology:
             raise NetworkError(f"node {node} outside topology")
         return node // self.group_size
 
-    def routes(self, src: int, dst: int,
-               config: "MachineConfig") -> list[Route]:
-        """All candidate routes from ``src`` to ``dst``.
+    edge_of = group_of
+
+    def template(self, gs: int, gd: int,
+                 config: "MachineConfig") -> RouteTemplate:
+        """Routes between edge switches ``gs`` and ``gd``.
 
         Same-group pairs have a single route through their edge switch;
         cross-group pairs have ``mid_count`` disjoint routes.
         """
-        if src == dst:
-            raise NetworkError("no route from a node to itself")
-        gs, gd = self.group_of(src), self.group_of(dst)
         wire2 = 2 * config.wire_latency
         if gs == gd:
             # node -> edge switch -> node: one switch traversal.
-            return [Route(links=(self.up[src], self.down[dst]),
-                          fixed_latency=wire2 + config.hop_latency,
-                          crosses_core=False)]
-        routes = []
-        for m in range(self.mid_count):
-            links = (self.up[src], self.edge_to_mid[gs][m],
-                     self.mid_to_edge[gd][m], self.down[dst])
-            routes.append(Route(
-                links=links,
-                fixed_latency=wire2 + 3 * config.hop_latency,
-                crosses_core=True))
-        return routes
-
-
-def _check_pair(nnodes: int, src: int, dst: int) -> None:
-    """Shared endpoint validation for route construction."""
-    if src == dst:
-        raise NetworkError("no route from a node to itself")
-    if not (0 <= src < nnodes and 0 <= dst < nnodes):
-        raise NetworkError(
-            f"route endpoints ({src}, {dst}) outside {nnodes} nodes")
+            return RouteTemplate(((),), wire2 + config.hop_latency, False)
+        return RouteTemplate(
+            tuple((self.edge_to_mid[gs][m], self.mid_to_edge[gd][m])
+                  for m in range(self.mid_count)),
+            wire2 + 3 * config.hop_latency, True)
 
 
 @dataclass
-class FatTreeTopology:
+class FatTreeTopology(_Fabric):
     """Three-tier fat tree: leaf / aggregation / core.
 
     Nodes attach in runs of ``fattree_leaf_size`` to *leaf* switches;
@@ -292,34 +318,27 @@ class FatTreeTopology:
     def pod_of(self, leaf: int) -> int:
         return leaf // self.pod_leaves
 
-    def routes(self, src: int, dst: int,
-               config: "MachineConfig") -> list[Route]:
-        """Candidate routes (see the class docstring for the shapes)."""
-        _check_pair(self.nnodes, src, dst)
+    edge_of = leaf_of
+
+    def template(self, ls: int, ld: int,
+                 config: "MachineConfig") -> RouteTemplate:
+        """Routes between leaves (see the class docstring for shapes)."""
         hop = config.hop_latency
         wire2 = 2 * config.wire_latency
-        ls, ld = self.leaf_of(src), self.leaf_of(dst)
         if ls == ld:
-            return [Route(links=(self.up[src], self.down[dst]),
-                          fixed_latency=wire2 + hop,
-                          crosses_core=False)]
+            return RouteTemplate(((),), wire2 + hop, False)
         ps, pd = self.pod_of(ls), self.pod_of(ld)
         if ps == pd:
-            return [Route(links=(self.up[src], self.leaf_up[ls][a],
-                                 self.leaf_down[ld][a], self.down[dst]),
-                          fixed_latency=wire2 + 3 * hop,
-                          crosses_core=False)
-                    for a in range(self.agg_count)]
-        routes = []
+            return RouteTemplate(
+                tuple((self.leaf_up[ls][a], self.leaf_down[ld][a])
+                      for a in range(self.agg_count)),
+                wire2 + 3 * hop, False)
+        middles = []
         for c in range(self.core_count):
             a = c % self.agg_count
-            links = (self.up[src], self.leaf_up[ls][a],
-                     self.agg_up[ps][a][c], self.agg_down[pd][a][c],
-                     self.leaf_down[ld][a], self.down[dst])
-            routes.append(Route(links=links,
-                                fixed_latency=wire2 + 5 * hop,
-                                crosses_core=True))
-        return routes
+            middles.append((self.leaf_up[ls][a], self.agg_up[ps][a][c],
+                            self.agg_down[pd][a][c], self.leaf_down[ld][a]))
+        return RouteTemplate(tuple(middles), wire2 + 5 * hop, True)
 
     def iter_links(self):
         """Yield every link once: node links, leaf stage, core stage."""
@@ -338,7 +357,7 @@ class FatTreeTopology:
 
 
 @dataclass
-class DragonflyTopology:
+class DragonflyTopology(_Fabric):
     """Dragonfly: router groups with all-to-all local and global links.
 
     ``dragonfly_router_nodes`` nodes attach to each router;
@@ -410,39 +429,33 @@ class DragonflyTopology:
     def group_of(self, node: int) -> int:
         return self.router_of(node) // self.group_routers
 
-    def routes(self, src: int, dst: int,
-               config: "MachineConfig") -> list[Route]:
-        """The single minimal route between ``src`` and ``dst``."""
-        _check_pair(self.nnodes, src, dst)
+    edge_of = router_of
+
+    def template(self, rs: int, rd: int,
+                 config: "MachineConfig") -> RouteTemplate:
+        """The single minimal route between routers ``rs`` and ``rd``."""
         hop = config.hop_latency
         wire2 = 2 * config.wire_latency
-        rs, rd = self.router_of(src), self.router_of(dst)
         if rs == rd:
-            return [Route(links=(self.up[src], self.down[dst]),
-                          fixed_latency=wire2 + hop,
-                          crosses_core=False)]
+            return RouteTemplate(((),), wire2 + hop, False)
         rpg = self.group_routers
         gs, gd = rs // rpg, rd // rpg
         if gs == gd:
-            links = (self.up[src], self.local[gs][rs % rpg][rd % rpg],
-                     self.down[dst])
-            return [Route(links=links, fixed_latency=wire2 + 2 * hop,
-                          crosses_core=False)]
+            return RouteTemplate(((self.local[gs][rs % rpg][rd % rpg],),),
+                                 wire2 + 2 * hop, False)
         gw_out = gd % rpg   # gateway router in gs toward gd
         gw_in = gs % rpg    # entry router in gd from gs
-        links: list[SerialResource] = [self.up[src]]
+        middle: list[SerialResource] = []
         if rs % rpg != gw_out:
-            links.append(self.local[gs][rs % rpg][gw_out])
-        links.append(self.global_links[(gs, gd)])
+            middle.append(self.local[gs][rs % rpg][gw_out])
+        middle.append(self.global_links[(gs, gd)])
         if gw_in != rd % rpg:
-            links.append(self.local[gd][gw_in][rd % rpg])
-        links.append(self.down[dst])
-        # One switch traversal per link boundary, plus the global
-        # link's extra flight time.
-        latency = (wire2 + (len(links) - 1) * hop
+            middle.append(self.local[gd][gw_in][rd % rpg])
+        # One switch traversal per link boundary (the middle links plus
+        # up and down), plus the global link's extra flight time.
+        latency = (wire2 + (len(middle) + 1) * hop
                    + config.dragonfly_global_latency)
-        return [Route(links=tuple(links), fixed_latency=latency,
-                      crosses_core=True)]
+        return RouteTemplate((tuple(middle),), latency, True)
 
     def iter_links(self):
         """Yield every link once: node links, local grids, global."""

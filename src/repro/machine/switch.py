@@ -15,7 +15,7 @@ from heapq import nlargest
 from operator import itemgetter
 
 from ..errors import NetworkError
-from .routing import Route, build_topology
+from .routing import RouteTemplate, build_topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import RngRegistry, Simulator, Tracer
@@ -34,7 +34,15 @@ class Switch:
                  trace: Optional["Tracer"] = None) -> None:
         self.sim = sim
         self.config = config
-        self.topology = build_topology(nnodes, config)
+        self.topology = topo = build_topology(nnodes, config)
+        self._up = topo.up
+        self._down = topo.down
+        #: Edge switch of every node, so the per-packet template key
+        #: is two list reads.
+        self._edge = [topo.edge_of(n) for n in range(nnodes)]
+        #: ``(edge_src, edge_dst) -> RouteTemplate``, filled lazily:
+        #: bounded by edge-switch pairs, never node pairs.
+        self.templates: dict[tuple[int, int], RouteTemplate] = {}
         self._adapters: list[Optional["Adapter"]] = [None] * nnodes
         self._route_rng = rng.stream("switch.route")
         self._loss_rng = rng.stream("switch.loss")
@@ -43,15 +51,6 @@ class Switch:
         #: routed packet.  None (the default) keeps the hot path at a
         #: single attribute test.
         self.faults = None
-        # Config and topology are immutable per run, so candidate routes
-        # per (src, dst) pair are computed once; the per-packet path is
-        # a dict hit instead of Route/list construction.  With
-        # ``route_cache_entries`` set the cache is bounded: the oldest
-        # pair is evicted on overflow (dict preserves insertion order),
-        # capping memory at O(bound) instead of O(nodes^2) under
-        # all-to-all traffic at --scale node counts.
-        self._route_cache: dict[tuple[int, int], tuple["Route", ...]] = {}
-        self._route_cache_limit = config.route_cache_entries
         #: When set, :meth:`metrics` emits only the ``top_links``
         #: busiest per-link utilization gauges instead of all of them
         #: (None, the default, keeps the full historical block).  Large
@@ -73,18 +72,15 @@ class Switch:
             raise NetworkError(f"node {nid} already attached")
         self._adapters[nid] = adapter
 
-    def route_candidates(self, src: int, dst: int) -> tuple["Route", ...]:
-        """Candidate routes for a node pair, from the lazy cache."""
-        cache = self._route_cache
-        key = (src, dst)
-        routes = cache.get(key)
-        if routes is None:
-            routes = tuple(self.topology.routes(src, dst, self.config))
-            limit = self._route_cache_limit
-            if limit is not None and len(cache) >= limit:
-                del cache[next(iter(cache))]
-            cache[key] = routes
-        return routes
+    def template(self, src: int, dst: int) -> RouteTemplate:
+        """Route template for a node pair, built on first use of its
+        edge-switch pair."""
+        key = (self._edge[src], self._edge[dst])
+        tmpl = self.templates.get(key)
+        if tmpl is None:
+            tmpl = self.templates[key] = self.topology.template(
+                key[0], key[1], self.config)
+        return tmpl
 
     def route(self, packet: "Packet") -> None:
         """Send ``packet`` through the fabric (called at injection time).
@@ -99,9 +95,10 @@ class Switch:
         (``inject`` / ``inject_async`` / ``inject_control``); the switch
         trusts what the adapters hand it.
         """
-        dst_adapter = self._adapters[packet.dst]
+        dst = packet.dst
+        dst_adapter = self._adapters[dst]
         if dst_adapter is None:
-            raise NetworkError(f"packet to unattached node {packet.dst}")
+            raise NetworkError(f"packet to unattached node {dst}")
 
         cfg = self.config
         if cfg.loss_rate > 0.0 and self._loss_rng.random() < cfg.loss_rate:
@@ -135,23 +132,24 @@ class Switch:
                     sp.packet_lost(packet, self.sim.now)
                 return
 
-        candidates = self.route_candidates(packet.src, packet.dst)
-        if len(candidates) == 1:
-            # Same-group fast path: single deterministic route, no RNG
-            # draw, no allocation beyond the delivery heap entry.
-            route = candidates[0]
+        src = packet.src
+        middles, fixed_latency, crosses_core = self.template(src, dst)
+        if len(middles) == 1:
+            # Single route: no RNG draw.
+            middle = middles[0]
         else:
-            route = candidates[int(self._route_rng.integers(
-                0, len(candidates)))]
+            middle = middles[int(self._route_rng.integers(
+                0, len(middles)))]
 
         transfer = packet.size / cfg.link_bandwidth
         sim = self.sim
         now = sim._now
-        t = now
-        for link in route.links:
+        t = self._up[src].occupy(now, transfer)
+        for link in middle:
             t = link.occupy(t, transfer)
-        t += route.fixed_latency
-        if route.crosses_core and cfg.route_jitter > 0.0:
+        t = self._down[dst].occupy(t, transfer)
+        t += fixed_latency
+        if crosses_core and cfg.route_jitter > 0.0:
             t += float(self._route_rng.random()) * cfg.route_jitter
 
         self.packets_routed += 1

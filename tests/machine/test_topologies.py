@@ -2,13 +2,14 @@
 
 The SP multistage topology is covered by the historical network tests;
 these exercise the two large-N fabrics added for ``--scale`` -- route
-shapes, candidate counts, gateway selection -- plus the bounded route
-cache and the streamed top-k link statistics.
+shapes, candidate counts, gateway selection -- plus the switch's route
+templates and the streamed top-k link statistics.
 """
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.machine import Adapter, Packet
 from repro.machine.config import SP_1998
 from repro.machine.routing import (DragonflyTopology, FatTreeTopology,
                                    TOPOLOGIES, Topology, build_topology)
@@ -138,30 +139,64 @@ class TestDragonfly:
                 assert {ln.name for ln in route.links} <= names
 
 
-class TestBoundedRouteCache:
-    def test_unbounded_by_default(self):
-        sw = make_switch()
-        assert sw._route_cache_limit is None
-        for dst in range(1, 8):
-            sw.route_candidates(0, dst)
-        assert len(sw._route_cache) == 7
+#: Small multi-edge fabrics: SP with two groups, a fat tree with two
+#: pods of two leaves, a dragonfly with three groups of three routers.
+SMALL_FABRICS = {
+    "sp": (SP_1998, 8),
+    "fattree": (FT_CFG.replace(fattree_leaf_size=2, fattree_pod_leaves=2,
+                               fattree_agg_count=2, fattree_core_count=4),
+                8),
+    "dragonfly": (DF_CFG.replace(dragonfly_router_nodes=2,
+                                 dragonfly_group_routers=3), 18),
+}
 
-    def test_fifo_eviction_at_limit(self):
-        sw = make_switch(SP_1998.replace(route_cache_entries=4))
-        for dst in range(1, 6):
-            sw.route_candidates(0, dst)
-        assert len(sw._route_cache) == 4
-        assert (0, 1) not in sw._route_cache  # oldest evicted
-        assert (0, 5) in sw._route_cache
 
-    def test_eviction_does_not_change_routes(self):
-        sw = make_switch(SP_1998.replace(route_cache_entries=2))
-        first = sw.route_candidates(0, 1)
-        for dst in range(2, 8):
-            sw.route_candidates(0, dst)
-        again = sw.route_candidates(0, 1)  # recomputed after eviction
-        assert [tuple(ln.name for ln in r.links) for r in first] == \
-               [tuple(ln.name for ln in r.links) for r in again]
+def _names(links):
+    return tuple(ln.name for ln in links)
+
+
+@pytest.mark.parametrize("fabric", sorted(SMALL_FABRICS))
+class TestRouteTemplates:
+    def test_spliced_template_equals_routes(self, fabric):
+        cfg, n = SMALL_FABRICS[fabric]
+        sw = make_switch(cfg, n)
+        oracle = build_topology(n, cfg)
+        topo = sw.topology
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                tmpl = sw.template(src, dst)
+                routes = oracle.routes(src, dst, cfg)
+                assert [_names((topo.up[src],) + mid + (topo.down[dst],))
+                        for mid in tmpl.middles] == \
+                    [_names(r.links) for r in routes]
+                for r in routes:
+                    assert r.fixed_latency == tmpl.fixed_latency
+                    assert r.crosses_core == tmpl.crosses_core
+
+    def test_all_pairs_traffic_bounded_by_edge_pairs(self, fabric):
+        cfg, n = SMALL_FABRICS[fabric]
+        sim = Simulator()
+        sw = Switch(sim, n, cfg, RngRegistry(seed=1))
+        for i in range(n):
+            adapter = Adapter(sim, i, cfg)
+            adapter.connect(sw)
+            adapter.attach_client("lapi")
+        for src in range(n):
+            for dst in range(n):
+                if src != dst:
+                    sw.route(Packet(src=src, dst=dst, proto="lapi",
+                                    kind="data", header_bytes=48,
+                                    payload=b"x"))
+        sim.run()
+        assert sw.packets_routed == n * (n - 1)
+        nedges = sw.topology.nedges
+        assert nedges > 1
+        assert len(sw.templates) <= nedges ** 2
+        edge = sw.topology.edge_of
+        assert set(sw.templates) == {(edge(s), edge(d)) for s in range(n)
+                                     for d in range(n) if s != d}
 
 
 class TestTopLinks:
@@ -170,7 +205,7 @@ class TestTopLinks:
     def _loaded_switch(self):
         sw = make_switch()
         for dst in range(1, 8):
-            for route in sw.route_candidates(0, dst):
+            for route in sw.topology.routes(0, dst, SP_1998):
                 for link in route.links:
                     link.occupy(0.0, 0.3 * dst)  # uneven load
         return sw

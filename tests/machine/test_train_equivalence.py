@@ -139,7 +139,7 @@ class TestSoaEquivalence:
         cfg = SP_1998.replace(topology="fattree")
         on = _assert_soa_equivalent(cfg, _put_job(NBYTES, 16),
                                     nnodes=32, scheduler=scheduler)
-        assert len(on.switch.route_candidates(0, 16)) > 1
+        assert len(on.switch.template(0, 16).middles) > 1
         assert _soa_packets(on) == 0
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
