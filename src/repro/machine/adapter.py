@@ -139,14 +139,6 @@ class Adapter:
         #: carried.
         self.trains_collapsed = 0
         self.train_packets = 0
-        #: SoA-lane diagnostics (also out of :meth:`metrics`): trains
-        #: serialized through a struct-of-arrays record, interior
-        #: packets they carried, and peeled trains that fell back to
-        #: the object path because something observes interior packet
-        #: identity (spans/trace) or ``soa_trains`` is off.
-        self.soa_trains = 0
-        self.soa_packets = 0
-        self.soa_fallbacks = 0
 
     # ------------------------------------------------------------------
     def connect(self, switch: "Switch") -> None:
@@ -329,17 +321,7 @@ class Adapter:
             self._tx_complete(packet, took_credit)
             interior = self._peel_train(packet)
             if interior:
-                # The SoA lane needs interior packets to stay
-                # identity-free mid-flight; span recording and tracing
-                # observe every hop, so they force the object path
-                # (fault schedules and multipath never reach here --
-                # _peel_train already refused the train).
-                if (cfg.soa_trains and sim.spans is None
-                        and self.trace is None):
-                    end = self._schedule_train_soa(interior)
-                else:
-                    self.soa_fallbacks += 1
-                    end = self._schedule_train(interior)
+                end = self._schedule_train(interior)
                 # The train's last packet stays in the FIFO and goes
                 # through the normal path, so message boundaries (final
                 # delivery, counters, interrupt re-arm) are produced by
@@ -444,73 +426,6 @@ class Adapter:
             sim.call_at(t, self._tx_train_step, item)
         self.trains_collapsed += 1
         self.train_packets += len(interior)
-        return t
-
-    def _schedule_train_soa(self, interior: list) -> float:
-        """Serialize the interior through a struct-of-arrays record.
-
-        Same schedule as :meth:`_schedule_train` -- every interior
-        packet's TX completion is posted here, at peel time, with the
-        identical float accumulation, so the kernel's sequence stream
-        and all instants are byte-identical.  What changes is the work
-        *per firing*: stage callbacks index the train's columns (see
-        :mod:`repro.machine.train`) instead of routing each packet
-        through the generic per-packet code.
-        """
-        cfg = self.config
-        sim = self.sim
-        head = interior[0][0]
-        switch = self.switch
-        dst_adapter = switch._adapters[head.dst]
-        client = (dst_adapter.clients.get(head.proto)
-                  if dst_adapter is not None else None)
-        if (client is None or dst_adapter.trace is not None
-                or switch.trace is not None):
-            # Destination-side observers (or a missing client, which
-            # the object path reports as the proper NetworkError).
-            self.soa_fallbacks += 1
-            return self._schedule_train(interior)
-        pools = sim.pools
-        if pools is not None:
-            train = pools.trains.acquire()
-        else:
-            from .train import PacketTrain
-            train = PacketTrain()
-        tmpl = switch.template(self.node_id, head.dst)
-        links = ((switch._up[self.node_id],) + tmpl.middles[0]
-                 + (switch._down[head.dst],))
-        train.begin(self, links, tmpl.fixed_latency, dst_adapter, client)
-        dma = cfg.adapter_send_dma
-        bw = cfg.link_bandwidth
-        gap = cfg.packet_gap
-        when = train.when
-        transfers = train.transfers
-        seqs = train.seqs
-        sizes = train.sizes
-        credits = train.credits
-        tx_step = train._tx_step
-        call_at = sim.call_at
-        nbytes = 0
-        t = sim.now
-        for pkt, took_credit in interior:
-            size = pkt.size
-            # Mirrors _schedule_train operation-for-operation.
-            t = t + dma
-            t = t + (size / bw + gap)
-            call_at(t, tx_step, None)
-            when.append(t)
-            transfers.append(size / bw)
-            seqs.append(pkt.seq)
-            sizes.append(size)
-            credits.append(1 if took_credit else 0)
-            nbytes += size
-        train.pkts = tuple(item[0] for item in interior)
-        train.n = len(interior)
-        train.bytes_total = nbytes
-        self.trains_collapsed += 1
-        self.train_packets += train.n
-        self.soa_trains += 1
-        self.soa_packets += train.n
         return t
 
     # ------------------------------------------------------------------

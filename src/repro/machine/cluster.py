@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
 from ..errors import MachineError
 from ..obs import MetricsRegistry
-from ..sim import PENDING, RngRegistry, Simulator, Tracer
+from ..sim import RngRegistry, Simulator, Tracer
 from .config import SP_1998, MachineConfig
 from .node import Node
 from .packet import reset_packet_ids
@@ -88,7 +88,6 @@ class Cluster:
                  trace: Optional[Tracer] = None,
                  spans: Optional[Any] = None,
                  faults: Optional[Any] = None,
-                 scheduler: Optional[str] = None,
                  telemetry: Optional[Any] = None) -> None:
         if nnodes < 1:
             raise MachineError("cluster needs at least one node")
@@ -103,11 +102,7 @@ class Cluster:
         #: parity requirement.  Exposed to every component as
         #: ``sim.spans``; purely observational (never perturbs time).
         self.spans = spans
-        #: ``scheduler`` selects the kernel's pending-queue backend
-        #: ("calendar"/"heap"); None keeps the kernel default.  The
-        #: scheduler-equivalence tests use this to run one workload
-        #: under both backends and diff every observable.
-        self.sim = Simulator(scheduler=scheduler)
+        self.sim = Simulator()
         self.sim.spans = spans
         #: Per-cluster hot-path object pools (``repro.machine.pool``).
         #: Owned here -- never process-global -- so a ``--jobs N``
@@ -146,14 +141,14 @@ class Cluster:
             from ..obs.timeline import TelemetryRuntime
             self.telemetry = TelemetryRuntime.install(
                 telemetry, self.sim, self.metrics)
-        #: Terminal error recorded by :meth:`fail_run`; checked by the
-        #: :meth:`run_job` event loop after every kernel step.
-        self._fatal: Optional[BaseException] = None
         #: Survivor policy for convicted peers; set per job by
         #: :meth:`run_job` (``on_peer_failure``).  "fail" terminates the
         #: run with the conviction error, "continue" lets survivors keep
         #: running against the reduced peer set.
         self.on_peer_failure = "fail"
+        #: True while :meth:`run_job` drives the kernel; gates
+        #: :meth:`fail_run`.
+        self._job_running = False
         #: Heartbeat failure detector (:mod:`repro.resilience`), or
         #: None.  Armed below, after faults install, because the auto
         #: rule depends on whether the schedule carries node crashes.
@@ -179,15 +174,17 @@ class Cluster:
 
         Structured failure path for errors detected in bare kernel
         callbacks (retransmission exhaustion fires on a timer with no
-        thread or run context): the error is parked here and raised
-        from :meth:`run_job`'s event loop at the next step boundary,
-        so callers see it with the full job context instead of a
-        traceback out of ``Simulator.step``.  The first error wins;
-        later ones (cascading failures of an already-dying run) are
-        dropped.
+        thread or run context): the error is parked in ``sim.fatal``,
+        the kernel's event loop stops at the next event boundary, and
+        :meth:`run_job` raises it, so callers see it with the full job
+        context instead of a traceback out of a kernel callback.  The
+        first error wins; later ones (cascading failures of an
+        already-dying run) are dropped, and so are errors raised while
+        no job runs (e.g. while a plain ``sim.run(until=...)`` lets
+        trailing traffic settle) -- there is no run to terminate.
         """
-        if self._fatal is None:
-            self._fatal = err
+        if self._job_running and self.sim.fatal is None:
+            self.sim.fatal = err
 
     @property
     def nnodes(self) -> int:
@@ -326,114 +323,27 @@ class Cluster:
         threads = [task.node.cpu.spawn(main_body(task),
                                        name=f"task{task.rank}.main")
                    for task in tasks]
-        self._fatal = None
         sim = self.sim
-        step = sim.step
-        done = sim.all_of([t.process for t in threads])
-        # The driving loop runs once per kernel event and dominates
-        # benchmark wall time, so the common case (no budgets) is kept
-        # to the bare minimum of work per iteration.  ``max_events`` is
-        # a per-call budget relative to the counter at entry -- a second
-        # job on the same simulator gets the full allowance instead of
-        # inheriting the first run's event count.
-        event_ceiling = (sim.events_processed + max_events
-                         if max_events is not None else None)
-        cal = sim._cal
-        heap = sim._heap
-        if until is None and event_ceiling is None and cal is not None:
-            # Inlined CalendarQueue.pop + fast-timer fire, dispatch
-            # table for everything else -- the same inner loop as
-            # Simulator.run_until_complete (see repro.sim.kernel), with
-            # the per-event fatal check this driver needs.  Semantics
-            # identical to ``while pending: sim.step()``.
-            from ..sim.kernel import _DISPATCH, _TIMER_POOL_CAP
-            dispatch = _DISPATCH
-            timer_pool = sim._timer_pool
-            while done._value is PENDING:
-                if self._fatal is not None:
-                    raise self._fatal
-                clen = cal._len
-                if not clen:
-                    alive = [t.process.name for t in threads
-                             if t.process.is_alive]
-                    raise MachineError(
-                        f"job deadlocked; unfinished tasks: {alive}")
-                nq = cal._nowq
-                if nq:
-                    entry = None
-                    if len(nq) != clen:
-                        b = cal._active
-                        pos = cal._pos
-                        if b is None or pos >= len(b):
-                            b = cal._seek()
-                            pos = cal._pos
-                        if b is not None:
-                            entry = b[pos]
-                            if entry[0] <= cal._now_stamp:
-                                cal._pos = pos + 1
-                            else:
-                                entry = None
-                    cal._len = clen - 1
-                    if entry is not None:
-                        when = entry[0]
-                        ev = entry[2]
-                    else:
-                        when = cal._now_stamp
-                        ev = nq.popleft()
-                else:
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    cal._pos = pos + 1
-                    cal._len = clen - 1
-                    entry = b[pos]
-                    when = entry[0]
-                    ev = entry[2]
-                sim._now = when
-                if ev._qk == 0:
-                    sim.events_processed += 1
-                    if sim.trace is not None:
-                        sim.trace.kernel_event(when, ev)
-                    ev.fn(ev.arg)
-                    if len(timer_pool) < _TIMER_POOL_CAP:
-                        ev.fn = ev.arg = None
-                        timer_pool.append(ev)
-                else:
-                    dispatch[ev._qk](sim, when, ev)
-        elif until is None and event_ceiling is None:
-            while done._value is PENDING:
-                if self._fatal is not None:
-                    raise self._fatal
-                if not heap:
-                    alive = [t.process.name for t in threads
-                             if t.process.is_alive]
-                    raise MachineError(
-                        f"job deadlocked; unfinished tasks: {alive}")
-                step()
-        else:
-            while done._value is PENDING:
-                if self._fatal is not None:
-                    raise self._fatal
-                # An empty queue peeks as inf, so a set ``until`` budget
-                # reports before the deadlock check -- the historical
-                # precedence.
-                if until is not None and sim.peek() > until:
-                    raise MachineError(
-                        f"job exceeded virtual-time budget of {until}us")
-                if event_ceiling is not None and (
-                        sim.events_processed >= event_ceiling):
-                    raise MachineError(
-                        f"job exceeded max_events={max_events}")
-                if not (cal._len if cal is not None else heap):
-                    alive = [t.process.name for t in threads
-                             if t.process.is_alive]
-                    raise MachineError(
-                        f"job deadlocked; unfinished tasks: {alive}")
-                step()
-        if self._fatal is not None:
-            raise self._fatal
+        sim.fatal = None
+        self._job_running = True
+        try:
+            reason = sim.drive(sim.all_of([t.process for t in threads]),
+                               until, max_events)
+        finally:
+            self._job_running = False
+            fatal, sim.fatal = sim.fatal, None
+        if fatal is not None:
+            raise fatal
+        if reason == "until":
+            raise MachineError(
+                f"job exceeded virtual-time budget of {until}us")
+        if reason == "budget":
+            raise MachineError(f"job exceeded max_events={max_events}")
+        if reason == "empty":
+            alive = [t.process.name for t in threads
+                     if t.process.is_alive]
+            raise MachineError(
+                f"job deadlocked; unfinished tasks: {alive}")
         for t in threads:
             if t.process.triggered and not t.process.ok:
                 raise t.process.value

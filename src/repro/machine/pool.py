@@ -43,15 +43,11 @@ from .packet import Packet, next_packet_id
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
 
-__all__ = ["PacketPool", "TrainPool", "HotPools"]
+__all__ = ["PacketPool", "HotPools"]
 
 #: Free-list bound: enough to absorb a cluster's steady state (one ack
 #: in flight per window slot per peer) without pinning burst memory.
 _PACKET_POOL_CAP = 2048
-
-#: Train records are large-ish (five array columns); a handful covers
-#: the realistic number of trains simultaneously in flight per cluster.
-_TRAIN_POOL_CAP = 64
 
 
 class PacketPool:
@@ -137,83 +133,19 @@ class PacketPool:
         }
 
 
-class TrainPool:
-    """Recycles :class:`~repro.machine.train.PacketTrain` records.
-
-    A record is acquired by ``Adapter._schedule_train_soa`` and returns
-    to the free list from its own last receive-DMA completion, so
-    ``outstanding`` is also an in-flight-trains gauge.
-    """
-
-    __slots__ = ("_free", "cap", "acquires", "hits", "releases")
-
-    def __init__(self, cap: int = _TRAIN_POOL_CAP) -> None:
-        self._free: list = []
-        self.cap = cap
-        self.acquires = 0
-        self.hits = 0
-        self.releases = 0
-
-    def acquire(self):
-        """A train record with cleared columns and cursors.
-
-        Column/cursor reset happens in ``PacketTrain.begin`` (the
-        caller binds route constants in the same pass); the pool only
-        tracks ownership.
-        """
-        self.acquires += 1
-        free = self._free
-        if free:
-            self.hits += 1
-            return free.pop()
-        from .train import PacketTrain
-        train = PacketTrain()
-        train.pooled = True
-        return train
-
-    def release(self, train) -> None:
-        if not train.pooled:
-            return
-        self.releases += 1
-        free = self._free
-        if len(free) < self.cap:
-            free.append(train)
-
-    @property
-    def outstanding(self) -> int:
-        """Acquired-but-unreleased train records (in-flight trains)."""
-        return self.acquires - self.releases
-
-    def stats(self) -> dict:
-        """Snapshot for BENCH_PERF ``pools`` metadata."""
-        return {
-            "acquires": self.acquires,
-            "hits": self.hits,
-            "hit_rate": round(self.hits / self.acquires, 4)
-            if self.acquires else 0.0,
-            "releases": self.releases,
-            "outstanding": self.outstanding,
-            "free": len(self._free),
-        }
-
-
 class HotPools:
     """All per-cluster hot-path pools, reachable as ``sim.pools``.
 
-    Currently: the shared :class:`PacketPool` (transport
-    acknowledgements and SoA-train expansion packets) and the
-    :class:`TrainPool` of struct-of-arrays train records.  The kernel's
-    fast-timer free list and the span recorder's track free list live
-    with their owners but report through the same
-    :func:`repro.obs.pool_stats` snapshot.
+    Currently: the shared :class:`PacketPool` of transport
+    acknowledgements.  The kernel's fast-timer free list and the span
+    recorder's track free list live with their owners but report
+    through the same :func:`repro.obs.pool_stats` snapshot.
     """
 
-    __slots__ = ("packets", "trains")
+    __slots__ = ("packets",)
 
     def __init__(self) -> None:
         self.packets = PacketPool()
-        self.trains = TrainPool()
 
     def stats(self) -> dict:
-        return {"packets": self.packets.stats(),
-                "trains": self.trains.stats()}
+        return {"packets": self.packets.stats()}

@@ -1,9 +1,9 @@
 """Hot-path pool statistics for the perf harness.
 
 The object pools live with their owners -- the per-cluster
-:class:`~repro.machine.pool.HotPools` (transport-ack packets and
-struct-of-arrays train records), the kernel's fast-timer free list, and
-the span recorder's track free list.  :func:`pool_stats` condenses all
+:class:`~repro.machine.pool.HotPools` (transport-ack packets), the
+kernel's fast-timer free list, and the span recorder's track free
+list.  :func:`pool_stats` condenses all
 of them into one picklable dict per cluster, and
 :func:`merge_pool_stats` folds the per-cluster dicts into the single
 ``pools`` block ``python -m repro.bench --perf`` stamps into

@@ -6,20 +6,15 @@ the LAPI/MPL protocol engines -- are processes scheduled by one simulator
 instance, so a whole multi-node parallel machine runs deterministically
 inside a single Python process.
 
-Schedulers
-----------
-Two pending-queue backends implement the identical ``(when, seq)``
-total order:
-
-* ``"calendar"`` (default) -- the :class:`repro.sim.calendar.CalendarQueue`
-  bucketed scheduler: amortized O(1) insert/extract for the short-horizon
-  timer distributions the machine model generates.
-* ``"heap"`` -- the original binary heap (``heapq``), kept as the golden
-  reference; the scheduler-equivalence tests run whole benchmarks under
-  both backends and require byte-identical observables.
-
-Select per-instance with ``Simulator(scheduler=...)`` or globally with
-the ``REPRO_SIM_SCHEDULER`` environment variable.
+Queue and event loop
+--------------------
+Pending entries live in one binary heap (``heapq``) of ``(when, seq,
+entry)`` tuples: earlier instants first, and entries at one instant in
+the order they were scheduled.  One event loop, :meth:`Simulator.drive`,
+pops and fires them; :meth:`Simulator.run`,
+:meth:`Simulator.run_until_complete` and
+:meth:`repro.machine.cluster.Cluster.run_job` all call it and turn the
+reason it stopped into their own return value or error.
 
 Units
 -----
@@ -30,24 +25,14 @@ equals MB/s (1e6 bytes / 1e6 us), the unit the paper plots.
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .calendar import DEFAULT_BUCKET_WIDTH, CalendarQueue
 from .events import PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGen
 
-__all__ = ["Simulator", "SCHEDULERS"]
-
-#: Recognised pending-queue backends.
-SCHEDULERS = ("calendar", "heap")
-
-#: Environment override for the default backend (tests / CI flip this to
-#: run whole suites against the reference heap).
-_SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
+__all__ = ["Simulator"]
 
 #: Upper bound on the fast-timer freelist; enough to absorb the steady
 #: state of a busy cluster without pinning memory after a burst.
@@ -88,12 +73,12 @@ class _FastTimer:
 # ----------------------------------------------------------------------
 # dispatch table
 # ----------------------------------------------------------------------
-# The kernel's inner loop routes each popped queue entry through a
-# precomputed per-kind table instead of an isinstance ladder: entries
-# carry a small integer ``_qk`` class attribute indexing ``_DISPATCH``.
-# The run loops additionally inline kind 0 (fast timers -- the vast
-# majority of machine-model events) so the steady state pays neither a
-# ``step()`` call nor a table lookup per event.
+# The event loop routes each popped queue entry through a precomputed
+# per-kind table instead of an isinstance ladder: entries carry a small
+# integer ``_qk`` class attribute indexing ``_DISPATCH``.  The loop
+# additionally inlines kind 0 (fast timers -- the vast majority of
+# machine-model events) so the steady state pays neither a call nor a
+# table lookup per event.
 
 def _fire_timer(sim: "Simulator", when: float, ev: _FastTimer) -> None:
     """Kind 0: invoke a bare callback and recycle the timer."""
@@ -141,6 +126,16 @@ def _fire_timeout(sim: "Simulator", when: float, ev: Timeout) -> None:
 _DISPATCH = (_fire_timer, _fire_event, _fire_timeout)
 
 
+class _Never:
+    """The ``done`` event of an open-ended :meth:`Simulator.run`."""
+
+    __slots__ = ()
+    _value = PENDING
+
+
+_NEVER = _Never()
+
+
 class Simulator:
     """Event loop, virtual clock, and process registry.
 
@@ -148,31 +143,11 @@ class Simulator:
     ----------
     trace:
         Optional :class:`repro.sim.trace.Tracer` receiving kernel events.
-    scheduler:
-        Pending-queue backend: ``"calendar"`` (default) or ``"heap"``.
-        ``None`` consults the ``REPRO_SIM_SCHEDULER`` environment
-        variable before falling back to the calendar queue.
-    bucket_width:
-        Calendar-queue day width in virtual microseconds (ignored by the
-        heap backend).
     """
 
-    def __init__(self, trace: Optional[Any] = None, *,
-                 scheduler: Optional[str] = None,
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get(_SCHEDULER_ENV, "calendar")
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{SCHEDULERS}")
-        self.scheduler = scheduler
+    def __init__(self, trace: Optional[Any] = None) -> None:
         self._now: float = 0.0
-        #: Calendar backend (None in heap mode).
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue(bucket_width) if scheduler == "calendar" else None)
-        #: Heap backend entries: (when, seq, Event | _FastTimer).
-        #: Unused (empty) in calendar mode.
+        #: Pending entries: (when, seq, Event | _FastTimer).
         self._heap: list[tuple[float, int, Any]] = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
@@ -180,6 +155,10 @@ class Simulator:
         self.trace = trace
         #: Freelist of fired fast timers awaiting reuse.
         self._timer_pool: list[_FastTimer] = []
+        #: Terminal error parked by a bare kernel callback (see
+        #: ``Cluster.fail_run``).  The event loop stops at the next
+        #: event boundary once it is set, and the caller raises it.
+        self.fatal: Optional[BaseException] = None
         #: Optional ``repro.obs.spans.SpanRecorder`` observing phase
         #: boundaries (attached by the cluster).  Purely observational:
         #: recording reads ``now`` and appends to host-side lists; it
@@ -255,10 +234,9 @@ class Simulator:
         Use for model-internal delivery/completion/timer callbacks whose
         only job is to advance machine state at a known instant.
         """
-        now = self._now
-        if when < now:
+        if when < self._now:
             raise SimulationError(
-                f"cannot schedule call_at({when}) before now={now}")
+                f"cannot schedule call_at({when}) before now={self._now}")
         pool = self._timer_pool
         if pool:
             timer = pool.pop()
@@ -266,33 +244,8 @@ class Simulator:
             timer.arg = arg
         else:
             timer = _FastTimer(fn, arg)
-        # Inlined CalendarQueue.push (see repro.sim.calendar, "hot-path
-        # note"): a method call per scheduled event is measurable.
-        cal = self._cal
-        if cal is not None:
-            cal._len += 1
-            if when == now:
-                nq = cal._nowq
-                if not nq:
-                    cal._now_stamp = now
-                nq.append(timer)
-                return
-            self._seq = seq = self._seq + 1
-            day = int(when * cal._inv_width)
-            buckets = cal._buckets
-            b = buckets.get(day)
-            if b is None:
-                buckets[day] = [(when, seq, timer)]
-                heappush(cal._days, day)
-                if day < cal._active_day:
-                    cal._retire_active()
-            elif day == cal._active_day:
-                insort(b, (when, seq, timer), cal._pos)
-            else:
-                b.append((when, seq, timer))
-        else:
-            self._seq += 1
-            heappush(self._heap, (when, self._seq, timer))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (when, seq, timer))
 
     def call_after(self, delay: float, fn, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` after ``delay`` us (see :meth:`call_at`)."""
@@ -310,51 +263,16 @@ class Simulator:
     # scheduling internals (used by Event/Timeout/Process)
     # ------------------------------------------------------------------
     def _schedule_at(self, when: float, ev: Event) -> None:
-        now = self._now
-        if when < now:
+        if when < self._now:
             raise SimulationError(
-                f"cannot schedule event at {when} before now={now}")
-        # Inlined CalendarQueue.push; see call_at.
-        cal = self._cal
-        if cal is not None:
-            cal._len += 1
-            if when == now:
-                nq = cal._nowq
-                if not nq:
-                    cal._now_stamp = now
-                nq.append(ev)
-                return
-            self._seq = seq = self._seq + 1
-            day = int(when * cal._inv_width)
-            buckets = cal._buckets
-            b = buckets.get(day)
-            if b is None:
-                buckets[day] = [(when, seq, ev)]
-                heappush(cal._days, day)
-                if day < cal._active_day:
-                    cal._retire_active()
-            elif day == cal._active_day:
-                insort(b, (when, seq, ev), cal._pos)
-            else:
-                b.append((when, seq, ev))
-        else:
-            self._seq += 1
-            heappush(self._heap, (when, self._seq, ev))
+                f"cannot schedule event at {when} before now={self._now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (when, seq, ev))
 
     def _enqueue_triggered(self, ev: Event) -> None:
         """Queue an already-triggered event for callback processing."""
-        cal = self._cal
-        if cal is not None:
-            # Triggered events process at the current instant: straight
-            # into the same-instant FIFO lane.
-            cal._len += 1
-            nq = cal._nowq
-            if not nq:
-                cal._now_stamp = self._now
-            nq.append(ev)
-        else:
-            self._seq += 1
-            heappush(self._heap, (self._now, self._seq, ev))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now, seq, ev))
 
     def _register_process(self, proc: Process) -> None:
         self._live_processes.add(proc)
@@ -365,68 +283,68 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _pending(self) -> int:
-        """Number of scheduled entries still in the queue."""
-        cal = self._cal
-        return cal._len if cal is not None else len(self._heap)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        cal = self._cal
-        if cal is not None:
-            return cal.peek_when()
         return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process a single event (advancing the clock to it)."""
-        # Inlined CalendarQueue.pop (see repro.sim.calendar, "hot-path
-        # note"); the heap branch is a single C heappop.
-        cal = self._cal
-        if cal is not None:
-            clen = cal._len
-            if not clen:
-                raise SimulationError("step() on an empty event queue")
-            nq = cal._nowq
-            if nq:
-                entry = None
-                if len(nq) != clen:
-                    # Bucketed entries at the same instant were pushed
-                    # earlier (smaller seq); they drain first.
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    if b is not None:
-                        entry = b[pos]
-                        if entry[0] <= cal._now_stamp:
-                            cal._pos = pos + 1
-                        else:
-                            entry = None
-                cal._len = clen - 1
-                if entry is not None:
-                    when = entry[0]
-                    ev = entry[2]
-                else:
-                    when = cal._now_stamp
-                    ev = nq.popleft()
-            else:
-                b = cal._active
-                pos = cal._pos
-                if b is None or pos >= len(b):
-                    b = cal._seek()
-                    pos = cal._pos
-                cal._pos = pos + 1
-                cal._len = clen - 1
-                entry = b[pos]
-                when = entry[0]
-                ev = entry[2]
-        else:
-            if not self._heap:
-                raise SimulationError("step() on an empty event queue")
-            when, _, ev = heappop(self._heap)
+        if not self._heap:
+            raise SimulationError("step() on an empty event queue")
+        when, _, ev = heappop(self._heap)
         self._now = when
         _DISPATCH[ev._qk](self, when, ev)
+
+    def drive(self, done: Any, until: Optional[float],
+              max_events: Optional[int]) -> str:
+        """The event loop: fire events until something stops it.
+
+        Returns why it stopped, checking in this order before each
+        event:
+
+        * ``"done"`` -- ``done`` has triggered;
+        * ``"fatal"`` -- an error is parked in :attr:`fatal`;
+        * ``"until"`` -- the next event lies past ``until``, or the
+          queue is empty while ``until`` is set (the clock is left
+          where the last event put it);
+        * ``"budget"`` -- this call has processed ``max_events``
+          events (checked before ``"empty"``, so it can be reported
+          with an empty queue);
+        * ``"empty"`` -- the queue has drained.
+        """
+        heap = self._heap
+        horizon = _INF if until is None else until
+        ceiling = (_INF if max_events is None
+                   else self.events_processed + max_events)
+        dispatch = _DISPATCH
+        timer_pool = self._timer_pool
+        while done._value is PENDING:
+            if self.fatal is not None:
+                return "fatal"
+            if not heap:
+                if until is not None:
+                    return "until"
+                if self.events_processed >= ceiling:
+                    return "budget"
+                return "empty"
+            if heap[0][0] > horizon:
+                return "until"
+            if self.events_processed >= ceiling:
+                return "budget"
+            when, _, ev = heappop(heap)
+            self._now = when
+            if ev._qk == 0:
+                # Inlined _fire_timer: the dominant machine-model event.
+                self.events_processed += 1
+                if self.trace is not None:
+                    self.trace.kernel_event(when, ev)
+                ev.fn(ev.arg)
+                if len(timer_pool) < _TIMER_POOL_CAP:
+                    ev.fn = ev.arg = None
+                    timer_pool.append(ev)
+            else:
+                dispatch[ev._qk](self, when, ev)
+        return "done"
 
     def run(self, until: Optional[float] = None, *,
             max_events: Optional[int] = None) -> float:
@@ -440,108 +358,23 @@ class Simulator:
         max_events:
             Per-call safety valve for runaway models; raises
             :class:`SimulationError` when this call has processed that
-            many events.
+            many events and more remain.
 
         Returns
         -------
         float
             The virtual time at which the run stopped.
         """
-        budget = max_events if max_events is not None else _INF
-        step = self.step
-        cal = self._cal
-        heap = self._heap
-        if until is None:
-            if cal is not None:
-                self._drain_calendar(cal, budget, max_events)
-                return self._now
-            while heap:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}"
-                        " (possible livelock)")
-                budget -= 1
-                step()
-            return self._now
-        while (cal._len if cal is not None else heap):
-            if self.peek() > until:
+        reason = self.drive(_NEVER, until, max_events)
+        if reason == "fatal":
+            raise self.fatal
+        if reason == "until":
+            if self._heap or until > self._now:
                 self._now = until
-                return self._now
-            if budget <= 0:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (possible livelock)")
-            budget -= 1
-            step()
-        if until > self._now:
-            self._now = until
+        elif reason == "budget" and self._heap:
+            raise SimulationError(
+                f"exceeded max_events={max_events} (possible livelock)")
         return self._now
-
-    def _drain_calendar(self, cal: CalendarQueue, budget: float,
-                        max_events: Optional[int]) -> None:
-        """Run the calendar backend to queue exhaustion (hot inner loop).
-
-        The CalendarQueue pop and the dominant fast-timer fire are
-        inlined (see repro.sim.calendar, "hot-path note"): at millions
-        of events per benchmark the ``step()`` call frame and the
-        dispatch-table lookup are both measurable.  Semantics are
-        identical to ``while pending: step()``.
-        """
-        dispatch = _DISPATCH
-        timer_pool = self._timer_pool
-        while True:
-            clen = cal._len
-            if not clen:
-                return
-            if budget <= 0:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (possible livelock)")
-            budget -= 1
-            # Inlined CalendarQueue.pop (same logic as step()).
-            nq = cal._nowq
-            if nq:
-                entry = None
-                if len(nq) != clen:
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    if b is not None:
-                        entry = b[pos]
-                        if entry[0] <= cal._now_stamp:
-                            cal._pos = pos + 1
-                        else:
-                            entry = None
-                cal._len = clen - 1
-                if entry is not None:
-                    when = entry[0]
-                    ev = entry[2]
-                else:
-                    when = cal._now_stamp
-                    ev = nq.popleft()
-            else:
-                b = cal._active
-                pos = cal._pos
-                if b is None or pos >= len(b):
-                    b = cal._seek()
-                    pos = cal._pos
-                cal._pos = pos + 1
-                cal._len = clen - 1
-                entry = b[pos]
-                when = entry[0]
-                ev = entry[2]
-            self._now = when
-            if ev._qk == 0:
-                # Inlined _fire_timer: the dominant machine-model event.
-                self.events_processed += 1
-                if self.trace is not None:
-                    self.trace.kernel_event(when, ev)
-                ev.fn(ev.arg)
-                if len(timer_pool) < _TIMER_POOL_CAP:
-                    ev.fn = ev.arg = None
-                    timer_pool.append(ev)
-            else:
-                dispatch[ev._qk](self, when, ev)
 
     def run_until_complete(self, proc: Process, *,
                            max_events: Optional[int] = None) -> Any:
@@ -556,82 +389,14 @@ class Simulator:
         process is still alive (it is blocked on something that can never
         happen).
         """
-        step = self.step
-        cal = self._cal
-        heap = self._heap
-        if max_events is None:
-            ceiling = _INF
-        else:
-            ceiling = self.events_processed + max_events
-        if cal is not None:
-            # Hot inner loop: inlined CalendarQueue.pop + fast-timer
-            # fire, dispatch table for everything else (see
-            # _drain_calendar for rationale).  Semantics identical to
-            # ``while pending: step()``.
-            dispatch = _DISPATCH
-            timer_pool = self._timer_pool
-            while proc._value is PENDING:
-                clen = cal._len
-                if not clen:
-                    break
-                if self.events_processed >= ceiling:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} waiting for"
-                        f" {proc.name!r}")
-                nq = cal._nowq
-                if nq:
-                    entry = None
-                    if len(nq) != clen:
-                        b = cal._active
-                        pos = cal._pos
-                        if b is None or pos >= len(b):
-                            b = cal._seek()
-                            pos = cal._pos
-                        if b is not None:
-                            entry = b[pos]
-                            if entry[0] <= cal._now_stamp:
-                                cal._pos = pos + 1
-                            else:
-                                entry = None
-                    cal._len = clen - 1
-                    if entry is not None:
-                        when = entry[0]
-                        ev = entry[2]
-                    else:
-                        when = cal._now_stamp
-                        ev = nq.popleft()
-                else:
-                    b = cal._active
-                    pos = cal._pos
-                    if b is None or pos >= len(b):
-                        b = cal._seek()
-                        pos = cal._pos
-                    cal._pos = pos + 1
-                    cal._len = clen - 1
-                    entry = b[pos]
-                    when = entry[0]
-                    ev = entry[2]
-                self._now = when
-                if ev._qk == 0:
-                    self.events_processed += 1
-                    if self.trace is not None:
-                        self.trace.kernel_event(when, ev)
-                    ev.fn(ev.arg)
-                    if len(timer_pool) < _TIMER_POOL_CAP:
-                        ev.fn = ev.arg = None
-                        timer_pool.append(ev)
-                else:
-                    dispatch[ev._qk](self, when, ev)
-        else:
-            while proc._value is PENDING:
-                if not heap:
-                    break
-                if self.events_processed >= ceiling:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} waiting for"
-                        f" {proc.name!r}")
-                step()
-        if proc._value is PENDING:
+        reason = self.drive(proc, None, max_events)
+        if reason == "fatal":
+            raise self.fatal
+        if reason == "budget" and self._heap:
+            raise SimulationError(
+                f"exceeded max_events={max_events} waiting for"
+                f" {proc.name!r}")
+        if reason != "done":
             waiting = sorted(p.name for p in self._live_processes)
             raise DeadlockError(
                 f"event queue drained but {proc.name!r} never finished;"
@@ -642,6 +407,5 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Simulator t={self._now:.3f}us"
-                f" pending={self._pending()}"
-                f" live={len(self._live_processes)}"
-                f" scheduler={self.scheduler}>")
+                f" pending={len(self._heap)}"
+                f" live={len(self._live_processes)}>")

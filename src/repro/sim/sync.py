@@ -12,7 +12,7 @@ simulation deterministic.
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
@@ -65,7 +65,9 @@ class SimLock:
             return Event.completed(self.sim, self, name=self._acquire_name)
         ev = Event(self.sim, name=self._acquire_name)
         self._seq += 1
-        heapq.heappush(self._waiters, (priority, self._seq, ev, owner))
+        # Sorted by (priority, seq); seq is unique, so entries never
+        # compare beyond it.
+        insort(self._waiters, (priority, self._seq, ev, owner))
         return ev
 
     def release(self) -> None:
@@ -73,7 +75,7 @@ class SimLock:
         if not self._locked:
             raise SimulationError(f"release of unlocked {self.name!r}")
         if self._waiters:
-            _, _, ev, owner = heapq.heappop(self._waiters)
+            _, _, ev, owner = self._waiters.pop(0)
             self._owner = owner
             ev.succeed(self)
         else:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import MachineError
+from repro.errors import DeadlockError, MachineError
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
+from repro.sim import Simulator
 
 
 class TestConstruction:
@@ -125,6 +126,89 @@ class TestRunJob:
         c.run_job(short, stacks=())
         with pytest.raises(MachineError, match="max_events"):
             c.run_job(endless, stacks=(), max_events=50)
+
+
+class TestStopReasons:
+    """Each way the event loop can stop, with and without budgets."""
+
+    @pytest.mark.parametrize("budgets", [{}, {"max_events": 10_000}])
+    def test_deadlock_names_unfinished_tasks(self, budgets):
+        def main(task):
+            if task.rank == 1:
+                yield task.cluster.sim.event()  # never fires
+            yield task.cluster.sim.timeout(1.0)
+
+        with pytest.raises(MachineError,
+                           match=r"deadlocked; unfinished tasks:"
+                                 r" \['task1.main'\]"):
+            Cluster(nnodes=2).run_job(main, stacks=(), **budgets)
+
+    def test_until_stops_before_passing_the_budget(self):
+        c = Cluster(nnodes=1)
+
+        def main(task):
+            while True:
+                yield c.sim.timeout(7.0)
+
+        with pytest.raises(MachineError,
+                           match=r"virtual-time budget of 100.0us"):
+            c.run_job(main, stacks=(), until=100.0)
+        assert 93.0 <= c.sim.now <= 100.0
+
+    def test_until_with_empty_queue_reports_budget(self):
+        # An empty queue peeks as infinitely far away, so a set
+        # ``until`` reports the budget error ahead of the deadlock.
+        def main(task):
+            yield task.cluster.sim.event()
+
+        with pytest.raises(MachineError, match="budget"):
+            Cluster(nnodes=1).run_job(main, stacks=(), until=1e9)
+
+    @pytest.mark.parametrize("budgets", [{}, {"until": 1e6},
+                                         {"max_events": 10_000}])
+    def test_fail_run_from_kernel_callback_surfaces(self, budgets):
+        c = Cluster(nnodes=2)
+        fired = []
+
+        def main(task):
+            if task.rank == 0:
+                c.sim.call_after(
+                    5.0, lambda _: c.fail_run(RuntimeError("parked")))
+            for _ in range(100):
+                yield c.sim.timeout(1.0)
+            fired.append(task.rank)
+
+        with pytest.raises(RuntimeError, match="parked"):
+            c.run_job(main, stacks=(), **budgets)
+        assert fired == []
+        assert c.sim.now == 5.0
+
+    def test_fail_run_outside_a_job_does_not_stop_settling(self):
+        # After a job, a plain ``sim.run(until=...)`` lets trailing
+        # traffic settle; an error raised then has no run to end.
+        c = Cluster(nnodes=1)
+
+        def main(task):
+            yield c.sim.timeout(1.0)
+
+        c.run_job(main, stacks=())
+        c.sim.call_after(5.0, lambda _: c.fail_run(RuntimeError("late")))
+        fired = []
+        c.sim.call_after(10.0, fired.append, "settled")
+        assert c.sim.run(until=50.0) == 50.0
+        assert fired == ["settled"]
+
+    def test_run_until_complete_detects_stuck_process(self):
+        sim = Simulator()
+
+        def stuck():
+            yield sim.timeout(2.0)
+            yield sim.event()
+
+        proc = sim.process(stuck(), name="stuck")
+        with pytest.raises(DeadlockError, match="'stuck' never finished"):
+            sim.run_until_complete(proc)
+        assert sim.now == 2.0
 
 
 class TestOob:

@@ -6,14 +6,16 @@ optimizations: every virtual-time observable -- completion times,
 bandwidths, per-subsystem metrics -- must be identical with them on or
 off.  These tests run the same workload under both settings and compare
 the full metrics render, and pin down each condition that must disengage
-the train fast path (loss, core jitter, multiple routes, non-contiguous
-vectors).
+the train fast path (loss, fault schedules, core jitter, multiple
+routes, non-contiguous vectors).
 """
 
 import pytest
 
+from repro.faults import FaultSchedule, LinkOutage
 from repro.machine import Cluster
 from repro.machine.config import SP_1998
+from repro.obs import SpanRecorder
 from repro.sim import Simulator
 
 NBYTES = 262144  # enough packets for several trains
@@ -52,8 +54,8 @@ def _putv_job(nbytes, target, stride=4096, run_len=1024):
     return main
 
 
-def _run(config, job, nnodes=2, seed=0xFA57):
-    cluster = Cluster(nnodes=nnodes, config=config, seed=seed)
+def _run(config, job, nnodes=2, seed=0xFA57, **kwargs):
+    cluster = Cluster(nnodes=nnodes, config=config, seed=seed, **kwargs)
     cluster.run_job(job, stacks=("lapi",), interrupt_mode=False)
     return cluster
 
@@ -110,6 +112,31 @@ class TestTrainEquivalence:
     def test_noncontiguous_putv_falls_back(self):
         fast = _assert_equivalent(SP_1998, _putv_job(NBYTES, 1))
         assert _train_packets(fast) == 0
+
+    def test_fault_schedule_falls_back(self):
+        # The faults judge draws per packet, so an installed schedule
+        # keeps the train peel off for the whole run.
+        def run(fast_trains):
+            sched = FaultSchedule([LinkOutage(src=0, dst=1, start=200.0,
+                                              end=400.0)])
+            return _run(SP_1998.replace(fast_trains=fast_trains),
+                        _put_job(NBYTES, 1), faults=sched)
+        fast, slow = run(True), run(False)
+        assert fast.sim.now == slow.sim.now
+        assert fast.metrics.render() == slow.metrics.render()
+        assert _train_packets(fast) == 0
+
+    def test_span_tracing_keeps_trains(self):
+        # Span recording observes every hop of every packet yet leaves
+        # the train engaged and virtual time untouched.
+        bare = _run(SP_1998, _put_job(NBYTES, 1))
+        traced = _run(SP_1998, _put_job(NBYTES, 1), spans=SpanRecorder())
+        assert traced.spans.span_dicts()
+        assert _train_packets(traced) > 0
+        assert traced.sim.now == bare.sim.now
+        assert (traced.sim.events_processed
+                == bare.sim.events_processed)
+        assert traced.metrics.render() == bare.metrics.render()
 
 
 class TestPerfHarnessPlumbing:

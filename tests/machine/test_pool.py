@@ -15,7 +15,7 @@ from repro.machine import Cluster
 from repro.machine.config import SP_1998
 from repro.machine.packet import Packet, next_packet_id, \
     reset_packet_ids
-from repro.machine.pool import HotPools, PacketPool, TrainPool
+from repro.machine.pool import HotPools, PacketPool
 from repro.obs import SpanRecorder, merge_pool_stats, pool_stats
 
 NBYTES = 131072
@@ -163,17 +163,6 @@ class TestHotPoolsPlumbing:
         assert isinstance(a.pools, HotPools)
         assert a.pools is not b.pools
         assert a.sim.pools is a.pools
-
-    def test_train_pool_recycles_records(self):
-        pool = TrainPool(cap=2)
-        t = pool.acquire()
-        assert t.pooled
-        pool.release(t)
-        again = pool.acquire()
-        assert again is t
-        assert pool.hits == 1
-        pool.release(again)
-        assert pool.outstanding == 0
 
     def test_merge_pool_stats_sums_and_recomputes_rates(self):
         merged = merge_pool_stats([
