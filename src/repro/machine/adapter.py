@@ -5,8 +5,12 @@ switch fabric.  Responsibilities:
 
 * **Transmit**: a DMA engine drains a bounded TX FIFO, pacing packets at
   DMA-setup + wire-serialization + inter-packet-gap rate, then hands each
-  to the switch.  Stacks obtain FIFO credits before injecting, so a
-  saturated adapter back-pressures the sending thread (in virtual time).
+  to the switch.  The engine is a small state machine, not a process:
+  starting a packet schedules one kernel callback at its finish
+  instant, which completes it and starts the next queued packet (or
+  leaves the engine idle until the next injection).  Stacks obtain FIFO
+  credits before injecting, so a saturated adapter back-pressures the
+  sending thread (in virtual time).
 * **Receive**: arriving packets pass a receive-DMA engine and are
   demultiplexed by protocol into per-client bounded RX FIFOs.  A full RX
   FIFO *drops* the packet, exactly the overload behaviour whose recovery
@@ -20,6 +24,7 @@ switch fabric.  Responsibilities:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..errors import NetworkError
@@ -107,15 +112,15 @@ class Adapter:
         self.trace = trace
         self.switch: Optional["Switch"] = None
         self.clients: dict[str, AdapterClient] = {}
-        # TX path: credits bound the FIFO; a sim process drains it.
-        self._tx_queue = Channel(sim, name=f"tx{node_id}")
+        # TX path: credits bound the FIFO; the DMA engine drains it
+        # through kernel callbacks, one per packet.
+        self._tx_queue: deque[tuple] = deque()
+        self._tx_busy = False
         self._tx_credits = Semaphore(sim, value=config.adapter_tx_fifo,
                                      name=f"txcred{node_id}")
         self._rx_dma = SerialResource(f"rxdma{node_id}")
-        sim.process(self._tx_engine(), name=f"adapter{node_id}.tx")
         #: Optional :class:`repro.faults.FaultRuntime`; set when a fault
-        #: schedule is installed on the cluster.  Disables the analytic
-        #: train fast path and accounts CRC discards.
+        #: schedule is installed on the cluster.  Accounts CRC discards.
         self.faults = None
         #: True while the node is fail-stop dead: every arriving or
         #: queued packet is dropped, nothing is acknowledged, and
@@ -133,12 +138,6 @@ class Adapter:
         #: serializing packets on the TX side.
         self.rx_crash_dropped = 0
         self.tx_crash_dropped = 0
-        #: Fast-path diagnostics (kept out of :meth:`metrics` so the
-        #: observability snapshot is independent of ``fast_trains``):
-        #: trains collapsed by the TX engine and interior packets they
-        #: carried.
-        self.trains_collapsed = 0
-        self.train_packets = 0
 
     # ------------------------------------------------------------------
     def connect(self, switch: "Switch") -> None:
@@ -200,15 +199,15 @@ class Adapter:
         client's RX FIFO is flushed, and the ``crashed`` gates in the
         deliver/enqueue/inject paths drop everything that arrives while
         dead -- including receive-DMA completions already in flight.
-        The TX engine process stays parked on its empty queue, which is
-        what lets :meth:`restart` resume control-packet service without
-        respawning anything.
+        A packet already on the DMA engine is dropped at its completion
+        instant (see :meth:`_tx_done`).  The engine runs on kernel
+        callbacks, not a process, so :meth:`restart` has nothing to
+        respawn before control packets flow again.
         """
         self.crashed = True
-        while True:
-            ok, item = self._tx_queue.try_get()
-            if not ok:
-                break
+        queue = self._tx_queue
+        while queue:
+            item = queue.popleft()
             self.tx_crash_dropped += 1
             if item[1]:
                 self._tx_credits.post()
@@ -251,10 +250,7 @@ class Adapter:
         credit = self._tx_credits.wait()
         if not credit.triggered:
             yield from thread.wait(credit)
-        self._tx_queue.put((packet, True))
-        sp = self.sim.spans
-        if sp is not None:
-            sp.packet_submitted(packet, self.sim.now)
+        self._tx_submit(packet, True)
 
     def inject_async(self, packet: "Packet") -> bool:
         """Best-effort injection from non-thread context.
@@ -270,10 +266,7 @@ class Adapter:
             return False
         if not self._tx_credits.try_wait():
             return False
-        self._tx_queue.put((packet, True))
-        sp = self.sim.spans
-        if sp is not None:
-            sp.packet_submitted(packet, self.sim.now)
+        self._tx_submit(packet, True)
         return True
 
     def inject_control(self, packet: "Packet") -> None:
@@ -291,142 +284,60 @@ class Adapter:
         if self.crashed:  # dead nodes do not acknowledge
             self.tx_crash_dropped += 1
             return
-        self._tx_queue.put((packet, False))
+        self._tx_submit(packet, False)
+
+    def _tx_submit(self, packet: "Packet", took_credit: bool) -> None:
+        """Queue ``packet`` for the DMA engine, starting it if idle."""
+        item = (packet, took_credit)
+        if self._tx_busy:
+            self._tx_queue.append(item)
+        else:
+            self._tx_busy = True
+            self._tx_start(item)
         sp = self.sim.spans
         if sp is not None:
             sp.packet_submitted(packet, self.sim.now)
 
-    def _tx_engine(self) -> Generator:
-        """DMA engine: serializes packets onto the injection link.
+    def _tx_start(self, item: tuple) -> None:
+        """Put a packet on the DMA engine: one callback at its finish.
 
-        Each packet pays DMA setup plus wire serialization plus the
-        inter-packet gap, strictly in FIFO order.  When the FIFO holds
-        the interior of a contiguous packet train whose timing is
-        provably deterministic (see :meth:`_peel_train`), the engine
-        serializes that interior analytically: the whole per-packet
-        schedule is computed in one pass and posted as bare kernel
-        callbacks, then the engine sleeps to the end of the interior.
-        Virtual times are bit-identical to the packet-by-packet path;
-        only the host-level event machinery is cheaper.
+        The finish instant is DMA setup, then wire serialization plus
+        the inter-packet gap, summed in that order from ``now``: float
+        addition is not associative, and the pinned TX-complete
+        instants depend on this order.
         """
         cfg = self.config
         sim = self.sim
-        while True:
-            packet, took_credit = yield self._tx_queue.get()
-            # Bare-float yields: pooled kernel sleeps, no Timeout
-            # allocation per packet, identical timing.
-            yield cfg.adapter_send_dma
-            yield (packet.size / cfg.link_bandwidth
-                   + cfg.packet_gap)
-            self._tx_complete(packet, took_credit)
-            interior = self._peel_train(packet)
-            if interior:
-                end = self._schedule_train(interior)
-                # The train's last packet stays in the FIFO and goes
-                # through the normal path, so message boundaries (final
-                # delivery, counters, interrupt re-arm) are produced by
-                # exactly the same code as without the fast path.
-                yield sim.timeout_at(end)
+        sim.call_at((sim._now + cfg.adapter_send_dma)
+                    + (item[0].size / cfg.link_bandwidth + cfg.packet_gap),
+                    self._tx_done, item)
 
-    def _tx_complete(self, packet: "Packet", took_credit: bool) -> None:
-        """TX bookkeeping at a packet's serialization-complete instant."""
+    def _tx_done(self, item: tuple) -> None:
+        """A packet's serialization-complete instant: hand it to the
+        switch, return its credit, then start the next queued packet
+        or leave the engine idle."""
+        packet, took_credit = item
         if self.crashed:
             # The node died while this packet was on the DMA engine:
             # it never reaches the wire.
             self.tx_crash_dropped += 1
-            if took_credit:
-                self._tx_credits.post()
-            return
-        self.packets_sent += 1
-        if self.trace is not None and self.trace.wants("tx"):
-            self.trace.log(self.sim.now, f"adapter{self.node_id}",
-                           "tx", repr(packet),
-                           **packet.trace_fields())
-        sp = self.sim.spans
-        if sp is not None:
-            sp.packet_tx_done(packet, self.sim.now)
-        self.switch.route(packet)
+        else:
+            self.packets_sent += 1
+            if self.trace is not None and self.trace.wants("tx"):
+                self.trace.log(self.sim.now, f"adapter{self.node_id}",
+                               "tx", repr(packet),
+                               **packet.trace_fields())
+            sp = self.sim.spans
+            if sp is not None:
+                sp.packet_tx_done(packet, self.sim.now)
+            self.switch.route(packet)
         if took_credit:
             self._tx_credits.post()
-
-    def _tx_train_step(self, item: tuple) -> None:
-        """One interior train packet completes TX (kernel callback)."""
-        self._tx_complete(item[0], item[1])
-
-    def _peel_train(self, head: "Packet") -> Optional[list]:
-        """Pop the interior of a deterministic packet train off the FIFO.
-
-        A train is a FIFO prefix of packets that continue ``head``: same
-        protocol/kind/destination, same message, contiguous offsets.
-        The interior (everything but the train's last packet, which is
-        left queued) may be serialized analytically only when nothing
-        can perturb per-packet timing:
-
-        * ``fast_trains`` enabled (``MachineConfig``),
-        * no fabric loss (a loss draw would consume RNG per packet),
-        * a single candidate route (multipath picks routes randomly),
-        * no route jitter on that route,
-        * contiguous same-message data packets (vector/scattered
-          transfers fall back to packet-by-packet).
-
-        Returns the popped ``(packet, took_credit)`` interior items, or
-        ``None`` when the fast path must not engage.
-        """
-        cfg = self.config
-        if (not cfg.fast_trains or cfg.loss_rate > 0.0
-                or self.faults is not None):
-            return None
-        hinfo = head.info
-        msg_key = hinfo.get("msg_id", hinfo.get("msg_seq"))
-        if msg_key is None or "offset" not in hinfo or not head.payload:
-            return None
-        tmpl = self.switch.template(self.node_id, head.dst)
-        if len(tmpl.middles) != 1:
-            return None
-        if tmpl.crosses_core and cfg.route_jitter > 0.0:
-            return None
-        run = []
-        prev = head
-        for item in self._tx_queue.iter_items():
-            pkt = item[0]
-            if (pkt.dst != head.dst or pkt.proto != head.proto
-                    or pkt.kind != head.kind or not pkt.payload):
-                break
-            pinfo = pkt.info
-            if (pinfo.get("msg_id", pinfo.get("msg_seq")) != msg_key
-                    or pinfo.get("offset") !=
-                    prev.info["offset"] + len(prev.payload)):
-                break
-            run.append(item)
-            prev = pkt
-        if len(run) < 2:
-            return None
-        interior = run[:-1]
-        for _ in interior:
-            self._tx_queue.try_get()
-        return interior
-
-    def _schedule_train(self, interior: list) -> float:
-        """Post the interior's per-packet TX completions; returns the
-        virtual time at which the interior has fully serialized.
-
-        The accumulation mirrors the two timeouts of the normal path
-        operation-for-operation so every completion lands on the same
-        float the packet-by-packet engine would produce.
-        """
-        cfg = self.config
-        sim = self.sim
-        dma = cfg.adapter_send_dma
-        bw = cfg.link_bandwidth
-        gap = cfg.packet_gap
-        t = sim.now
-        for item in interior:
-            t = t + dma
-            t = t + (item[0].size / bw + gap)
-            sim.call_at(t, self._tx_train_step, item)
-        self.trains_collapsed += 1
-        self.train_packets += len(interior)
-        return t
+        queue = self._tx_queue
+        if queue:
+            self._tx_start(queue.popleft())
+        else:
+            self._tx_busy = False
 
     # ------------------------------------------------------------------
     # receive path

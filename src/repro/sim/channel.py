@@ -2,10 +2,9 @@
 
 :class:`Channel` is the glue between asynchronous producers and consumers
 inside the machine model -- e.g. the adapter's receive FIFO feeding the
-LAPI dispatcher, or the switch feeding an adapter.  A channel may be
-bounded; a bounded channel can be configured to *drop* on overflow (how a
-real adapter FIFO behaves, exercising the retransmission path) or to
-back-pressure the producer.
+LAPI dispatcher.  A channel may be bounded; a bounded channel can be
+configured to *drop* on overflow (how a real adapter FIFO behaves,
+exercising the retransmission path) or to back-pressure the producer.
 """
 
 from __future__ import annotations
@@ -131,15 +130,6 @@ class Channel:
         if self._items:
             return True, self._items.popleft()
         return False, None
-
-    def iter_items(self):
-        """Iterate queued items in FIFO order without removing them.
-
-        Consumers that batch work (e.g. the adapter TX engine peeling a
-        packet train off its FIFO) inspect the backlog through this
-        instead of reaching into channel internals.
-        """
-        return iter(self._items)
 
     def peek(self) -> Any:
         """Return the head item without removing it."""

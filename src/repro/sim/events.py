@@ -198,7 +198,7 @@ class Timeout(Event):
     _qk = 2
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 name: str = "", at: Optional[float] = None) -> None:
+                 name: str = "") -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         # The default name is built lazily in __repr__: timeouts are the
@@ -210,10 +210,7 @@ class Timeout(Event):
         # the kernel pops the timeout at its due time; until then the event
         # reports untriggered, which is what conditions and waiters expect.
         self._pending_value = value
-        # ``at`` pins the absolute due time exactly (used by
-        # Simulator.timeout_at); the default path keeps the historical
-        # now + delay float round trip.
-        sim._schedule_at(sim.now + delay if at is None else at, self)
+        sim._schedule_at(sim.now + delay, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         label = self.name or f"timeout({self.delay})"

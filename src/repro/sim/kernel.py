@@ -2,9 +2,11 @@
 
 :class:`Simulator` owns the virtual clock and the pending-event queue.
 All components of the SP machine model -- CPUs, adapters, switch links,
-the LAPI/MPL protocol engines -- are processes scheduled by one simulator
-instance, so a whole multi-node parallel machine runs deterministically
-inside a single Python process.
+the LAPI/MPL protocol engines -- run on one simulator instance, either
+as processes (CPU threads, protocol dispatchers) or as bare
+:meth:`Simulator.call_at` callbacks (the adapter DMA engines, wire and
+receive-DMA completions), so a whole multi-node parallel machine runs
+deterministically inside a single Python process.
 
 Queue and event loop
 --------------------
@@ -44,9 +46,9 @@ _INF = float("inf")
 class _FastTimer:
     """A queue entry that invokes a bare callback -- no :class:`Event`.
 
-    The hot paths of the machine model (wire delivery, receive-DMA
-    completion, retransmission timers, packet trains) schedule millions
-    of one-shot callbacks per benchmark.  Routing them through
+    The hot paths of the machine model (the adapter's TX engine, wire
+    delivery, receive-DMA completion, retransmission timers) schedule
+    millions of one-shot callbacks per benchmark.  Routing them through
     :class:`Timeout` pays for an event object, a callbacks list, a
     closure, and a name string each time; a fast timer is just
     ``(fn, arg)``.  Scheduled via :meth:`Simulator.call_at`; fires with
@@ -207,19 +209,6 @@ class Simulator:
                 name: str = "") -> Timeout:
         """Create an event that fires ``delay`` us from now."""
         return Timeout(self, delay, value=value, name=name)
-
-    def timeout_at(self, when: float, value: Any = None,
-                   name: str = "") -> Timeout:
-        """Timeout firing at absolute virtual time ``when``.
-
-        Unlike ``timeout(when - now)``, the due time is pinned to the
-        exact float ``when`` -- no ``now + delay`` float round trip,
-        which can differ in the last ulp.  Used where a sleeper must
-        wake at a time computed elsewhere (e.g. the TX engine sleeping
-        to the end of an analytically scheduled packet train).
-        """
-        return Timeout(self, when - self._now, value=value, name=name,
-                       at=when)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Launch ``gen`` as a process; returns the process event."""

@@ -1,7 +1,7 @@
 """Coroutine processes driven by the discrete-event kernel.
 
 A *process* wraps a Python generator.  The generator models the life of an
-active entity (a CPU thread, a network adapter engine, a benchmark driver)
+active entity (a CPU thread, a protocol dispatcher, a benchmark driver)
 by yielding :class:`~repro.sim.events.Event` objects; the kernel resumes
 the generator with the event's value once it fires, or throws the event's
 exception into the generator if the event failed.

@@ -1,4 +1,4 @@
-"""Absolute virtual-time pins for the kernel and the train lane.
+"""Absolute virtual-time pins for the kernel and the adapter TX engine.
 
 Every observable below is compared against committed values in
 ``pins.json``, not against a second code path, so the scheduler and

@@ -137,6 +137,19 @@ def build_fabric(nnodes=2, config=SP_1998, seed=1):
     return sim, switch, adapters
 
 
+def tap_route(sim, switch):
+    """Record ``(now, kind)`` of every packet handed to the switch."""
+    log = []
+    route = switch.route
+
+    def logged(packet):
+        log.append((sim.now, packet.kind))
+        route(packet)
+
+    switch.route = logged
+    return log
+
+
 class TestSwitchDelivery:
     def test_packet_travels_end_to_end(self):
         sim, switch, (a0, a1) = build_fabric()
@@ -237,6 +250,67 @@ class TestAdapterPaths:
         sim.run()
         assert client.pending == 1
         assert a0.packets_sent == 1
+
+    def test_tx_complete_instants_back_to_back(self):
+        # Three full packets injected at t=0 finish one DMA setup plus
+        # one wire time apart: each starts when the previous finishes.
+        sim, switch, (a0, a1) = build_fabric()
+        a1.attach_client("lapi")
+        log = tap_route(sim, switch)
+        for _ in range(3):
+            assert a0.inject_async(make_packet(payload=bytes(976)))
+        sim.run()
+        assert log == [(10.052222222222223, "data"),
+                       (20.104444444444447, "data"),
+                       (30.15666666666667, "data")]
+
+    def test_control_queues_behind_data(self):
+        # Control packets skip the credit check, not the FIFO.
+        sim, switch, (a0, a1) = build_fabric()
+        a1.attach_client("lapi")
+        log = tap_route(sim, switch)
+        a0.inject_async(make_packet(payload=bytes(976)))
+        a0.inject_async(make_packet(payload=bytes(976)))
+        sim.run(until=1.0)
+        a0.inject_control(make_packet(kind="ack", payload=b""))
+        sim.run()
+        assert log == [(10.052222222222223, "data"),
+                       (20.104444444444447, "data"),
+                       (21.481111111111115, "ack")]
+
+    def test_crash_drops_packet_on_dma_engine(self):
+        sim, switch, (a0, a1) = build_fabric()
+        a1.attach_client("lapi")
+        log = tap_route(sim, switch)
+        a0.inject_async(make_packet(payload=bytes(976)))
+        sim.run(until=1.0)
+        a0.crash()
+        # Nothing was queued behind it; the DMA engine still holds it.
+        assert a0.tx_crash_dropped == 0
+        sim.run()
+        assert sim.now == 10.052222222222223
+        assert a0.tx_crash_dropped == 1
+        assert a0.packets_sent == 0 and log == []
+        assert a0._tx_credits.value == SP_1998.adapter_tx_fifo
+
+    def test_restart_resumes_control_service(self):
+        sim, switch, (a0, a1) = build_fabric()
+        a1.attach_client("lapi")
+        log = tap_route(sim, switch)
+        a0.inject_async(make_packet(payload=bytes(976)))
+        sim.run(until=1.0)
+        a0.crash()
+        sim.run()
+        a0.restart()
+        a0.inject_control(make_packet(kind="ack", payload=b""))
+        sim.run()
+        assert log == [(11.42888888888889, "ack")]
+        assert a0.packets_sent == 1
+
+    def test_cluster_has_no_adapter_process(self):
+        from repro.machine import Cluster
+        cluster = Cluster(4)
+        assert not cluster.sim._live_processes
 
     def test_inject_async_control(self):
         sim, switch, (a0, a1) = build_fabric()

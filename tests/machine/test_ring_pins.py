@@ -32,9 +32,9 @@ FABRICS = {
 
 #: (virtual_us, events, packets_routed) per fabric.
 PINS = {
-    "fattree": (870.5910753796437, 39220, 4678),
-    "dragonfly": (898.4531910038568, 39192, 4679),
-    "sp": (784.4183725975771, 38957, 4679),
+    "fattree": (870.5910753796437, 30189, 4678),
+    "dragonfly": (898.4531910038568, 30144, 4679),
+    "sp": (784.4183725975771, 29935, 4679),
 }
 
 

@@ -40,22 +40,22 @@ BREW_LOG = [
 ]
 
 
-def test_timeout_at_fires_on_exact_float():
-    # 0.1 + 0.2 is the canonical non-representable sum; timeout_at
-    # must pin the due time to the given float exactly, with no
+def test_call_at_fires_on_exact_float():
+    # 0.1 + 0.2 is the canonical non-representable sum; call_at must
+    # pin the due time to the given float exactly, with no
     # now + delay round trip perturbing it.
     sim = Simulator()
     due = 0.1 + 0.2
     fired = []
-    sim.timeout_at(due).callbacks.append(lambda ev: fired.append(sim.now))
+    sim.call_at(due, lambda _: fired.append(sim.now))
     sim.run()
     assert fired == [due]
 
 
-def test_timeout_at_chain_end():
+def test_call_at_chain_end():
     sim = Simulator()
     for k in range(40):
-        sim.timeout_at(k * 0.7 + 0.1)
+        sim.call_at(k * 0.7 + 0.1, lambda _: None)
     assert (sim.run(), sim.events_processed) == (27.4, 40)
 
 
